@@ -115,7 +115,11 @@ proptest! {
         let tags: Vec<u64> = (0..n as u64).collect();
         let a = run_passes(&tags, 2, seed_a, 0.2);
         let b = run_passes(&tags, 2, seed_b, 0.2);
-        let dir = std::env::temp_dir().join("advnet-arena-prop");
+        // a directory of its own per process and test: no other test or
+        // concurrent run of this suite can race on the `.tmp` rename
+        let dir = std::env::temp_dir()
+            .join(format!("advnet-arena-prop-{}", std::process::id()))
+            .join("equal_pools_serialize");
         std::fs::create_dir_all(&dir).unwrap();
         let pa = dir.join(format!("a-{seed_a}-{seed_b}-{n}.pool"));
         let pb = dir.join(format!("b-{seed_a}-{seed_b}-{n}.pool"));

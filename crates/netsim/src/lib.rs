@@ -38,6 +38,7 @@ pub mod qdisc;
 pub mod reference;
 pub mod sim;
 pub mod units;
+mod window;
 
 pub use link::LinkParams;
 pub use multi::{jain_index, MultiFlowSim, RateHandle, SharedRateCc};

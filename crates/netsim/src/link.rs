@@ -83,7 +83,7 @@ impl LinkParams {
 }
 
 /// A packet in flight through the simulator.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Owning flow (0 for the single-flow legacy API).
     pub flow: u64,

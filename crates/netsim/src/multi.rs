@@ -13,7 +13,9 @@
 //! * With one flow and the [`DropTail`] qdisc the
 //!   engine replays the legacy `FlowSim` trajectories bit-for-bit — the
 //!   handlers below are line-by-line transcriptions of `reference.rs`
-//!   with flow state indirected; keep them in sync.
+//!   with flow state indirected and the outstanding set in a seq-indexed
+//!   window (the reference keeps a `BTreeMap`) that yields the same
+//!   packets in the same order; keep them in sync.
 //!
 //! Observability: the engine counts `netsim.events` (events handled),
 //! `netsim.drops` (bottleneck drops: overflow + AQM early drops) and
@@ -27,10 +29,10 @@ use crate::link::{LinkParams, Packet, Queue};
 use crate::qdisc::{DropTail, QDisc, Verdict};
 use crate::sim::{AckEvent, CongestionControl, IntervalStats, SimConfig};
 use crate::units::{BitsPerSec, Bytes, Nanosecs};
+use crate::window::Window;
 use crate::{to_secs, Time, SEC};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,7 +64,8 @@ struct FlowState {
     event_seq: u64,
 
     next_seq: u64,
-    outstanding: BTreeMap<u64, Packet>,
+    /// Sent and not yet acked or declared lost, by seq.
+    outstanding: Window,
     inflight_bytes: usize,
     delivered_bytes: u64,
     acked_bytes: u64,
@@ -85,7 +88,7 @@ impl FlowState {
             rng,
             event_seq: 0,
             next_seq: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: Window::default(),
             inflight_bytes: 0,
             delivered_bytes: 0,
             acked_bytes: 0,
@@ -361,7 +364,7 @@ impl MultiFlowSim {
                 ecn: false,
             };
             f.next_seq += 1;
-            f.outstanding.insert(pkt.seq, pkt);
+            f.outstanding.insert(pkt);
             f.inflight_bytes += size;
             f.acc.packets_sent += 1;
             Self::arm_rto(&mut self.events, f, now, min_rto_s);
@@ -403,7 +406,7 @@ impl MultiFlowSim {
                             self.total_ecn_marks += 1;
                             // the ACK echoes the mark: update the sender's
                             // in-flight copy too
-                            if let Some(p) = f.outstanding.get_mut(&pkt.seq) {
+                            if let Some(p) = f.outstanding.get_mut(pkt.seq) {
                                 p.ecn = true;
                             }
                         }
@@ -470,7 +473,7 @@ impl MultiFlowSim {
         let now = self.now;
         let min_rto_s = self.cfg.min_rto_s;
         let f = &mut self.flows[idx];
-        let Some(pkt) = f.outstanding.remove(&seq) else {
+        let Some(pkt) = f.outstanding.remove(seq) else {
             return; // already declared lost via dup-ACK or RTO
         };
         f.inflight_bytes = f.inflight_bytes.saturating_sub(pkt.size_bytes);
@@ -484,19 +487,20 @@ impl MultiFlowSim {
 
         // loss detection on each ACK: dup-ACK style (3-packet reorder
         // window) plus RACK-style time threshold — per flow, since the
-        // FIFO bottleneck preserves each flow's internal order.
+        // FIFO bottleneck preserves each flow's internal order. Both
+        // rules only match seqs below the acked one, so only that prefix
+        // is walked, ascending as in the reference engine.
         let rack_cutoff = pkt.sent_at.saturating_sub((0.5 * f.srtt_s * SEC as f64) as Time);
-        let lost: Vec<u64> = f
-            .outstanding
-            .iter()
-            .filter(|(s, p)| **s < seq.saturating_sub(3) || (**s < seq && p.sent_at < rack_cutoff))
-            .map(|(s, _)| *s)
-            .collect();
-        for s in &lost {
-            if let Some(p) = f.outstanding.remove(s) {
-                f.inflight_bytes = f.inflight_bytes.saturating_sub(p.size_bytes);
+        let mut lost = 0;
+        let inflight = &mut f.inflight_bytes;
+        f.outstanding.remove_below_if(seq, |p| {
+            let is_lost = p.seq < seq.saturating_sub(3) || p.sent_at < rack_cutoff;
+            if is_lost {
+                lost += 1;
+                *inflight = inflight.saturating_sub(p.size_bytes);
             }
-        }
+            is_lost
+        });
 
         let span_s = to_secs(now - pkt.sent_at).max(1e-9);
         let ack = AckEvent {
@@ -512,8 +516,8 @@ impl MultiFlowSim {
             ecn: pkt.ecn,
         };
         f.cc.on_ack(&ack);
-        if !lost.is_empty() {
-            f.cc.on_loss(lost.len(), Nanosecs::new(now));
+        if lost > 0 {
+            f.cc.on_loss(lost, Nanosecs::new(now));
         }
         Self::arm_rto(&mut self.events, f, now, min_rto_s);
         Self::schedule_send(&mut self.events, f, now);

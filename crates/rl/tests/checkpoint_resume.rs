@@ -96,8 +96,12 @@ fn report_sig(r: &TrainReport) -> ReportSig {
     )
 }
 
-fn ckpt_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("advnet-resume-tests");
+/// `name` inside a directory of its own for `test` in this process, so
+/// tests running at the same time (or two runs of this suite) never share
+/// a checkpoint file or its `.tmp` sibling.
+fn ckpt_path(test: &str, name: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("advnet-resume-tests-{}", std::process::id())).join(test);
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -125,10 +129,10 @@ proptest! {
     /// to the uninterrupted one, serial and vectorized alike.
     #[test]
     fn kill_and_resume_is_bit_identical(k in 1usize..=5, n_envs in 1usize..=2) {
-        let path = ckpt_path(&format!("kill-k{k}-n{n_envs}.ckpt"));
+        let path = ckpt_path("kill_and_resume", &format!("kill-k{k}-n{n_envs}.ckpt"));
         std::fs::remove_file(&path).ok();
 
-        let (ref_state, ref_reports) = run_uninterrupted(n_envs, ckpt_path(&format!("ref-k{k}-n{n_envs}.ckpt")));
+        let (ref_state, ref_reports) = run_uninterrupted(n_envs, ckpt_path("kill_and_resume", &format!("ref-k{k}-n{n_envs}.ckpt")));
 
         // Crash: the injected fault fires after iteration k's update,
         // before its checkpoint is written.
@@ -162,7 +166,7 @@ fn checkpointed_matches_plain_training() {
     // `train_checkpointed` must not perturb the math: same weights and
     // reports as `try_train_vec` for both collection paths.
     for n_envs in [1, 2] {
-        let path = ckpt_path(&format!("plain-match-n{n_envs}.ckpt"));
+        let path = ckpt_path("plain_training", &format!("plain-match-n{n_envs}.ckpt"));
         std::fs::remove_file(&path).ok();
         let (ck_state, ck_reports) = run_uninterrupted(n_envs, path);
 
@@ -176,7 +180,7 @@ fn checkpointed_matches_plain_training() {
 
 #[test]
 fn finished_checkpoint_resumes_to_same_reports_without_training() {
-    let path = ckpt_path("finished.ckpt");
+    let path = ckpt_path("finished", "finished.ckpt");
     std::fs::remove_file(&path).ok();
     let mut env = Walk::new();
     let mut ppo = trainer(2);
@@ -196,7 +200,7 @@ fn finished_checkpoint_resumes_to_same_reports_without_training() {
 
 #[test]
 fn truncated_checkpoint_is_rejected_on_resume() {
-    let path = ckpt_path("truncated-resume.ckpt");
+    let path = ckpt_path("truncated", "truncated-resume.ckpt");
     std::fs::remove_file(&path).ok();
     let mut env = Walk::new();
     let mut ppo = trainer(1);
@@ -225,10 +229,10 @@ fn fault_injection_env_var_is_parsed() {
     // programmatic `fault_at` hook unset; this test must not set the env
     // vars, because `new()` would arm the process-global plan under the
     // feet of concurrently running training tests.
-    let ck = Checkpointer::new(ckpt_path("envvar.ckpt"), 4);
+    let ck = Checkpointer::new(ckpt_path("env_var", "envvar.ckpt"), 4);
     assert_eq!(ck.fault_at, None, "legacy env hook now routes through the fault plan");
     assert_eq!(ck.every, 4);
-    let ck = Checkpointer::new(ckpt_path("envvar.ckpt"), 0);
+    let ck = Checkpointer::new(ckpt_path("env_var", "envvar.ckpt"), 0);
     assert_eq!(ck.fault_at, None);
     assert_eq!(ck.every, 1, "every is clamped to at least 1");
 }
